@@ -1,17 +1,20 @@
 //! Wall-clock kernel sweep: the optimised serving kernels against the
 //! retained per-call baselines, on real hardware time.
 //!
-//! Three workloads, one per kernel family the scratch-arena/FFT-plan pass
-//! optimised:
+//! Four workloads, one per optimised kernel family:
 //!
 //! * **circulant** — [`BlockCirculantMatrix::matvec_fft_into`] (precomputed
 //!   `FftPlan` + cached weight spectra + reusable scratch) vs
 //!   [`BlockCirculantMatrix::matvec_fft_percall`] (the old body: per-call
 //!   twiddle recomputation and weight-row FFTs, fresh allocations).
-//! * **pd_f32** — the cache-blocked, arena-backed batched
-//!   [`CompressedLinear::matmul_into`] on a permuted-diagonal matrix vs a
-//!   per-row loop over [`BlockPermDiagMatrix::matvec_reference`] (the
-//!   iterator-based column traversal with a fresh output per call).
+//! * **pd_f32** — the lane-tiled, arena-backed batched
+//!   [`CompressedLinear::matmul_into`] on a permuted-diagonal matrix
+//!   (column-ordered weights, eight batch rows per pass) vs a per-row loop
+//!   over [`BlockPermDiagMatrix::matvec_reference`] (the iterator-based
+//!   column traversal with a fresh output per call).
+//! * **dense_f32** — the lane × row tiled batched
+//!   [`CompressedLinear::matmul_into`] on a dense matrix vs a per-row loop
+//!   over [`Matrix::matvec`] (one serial dot product per output).
 //! * **q16_column_sparse** — the unrolled flat-accumulator
 //!   [`QuantizedLinear::matmul_q_into`] vs a per-row loop over
 //!   [`QuantizedLinear::matvec_q_reference`] (boxed `Accumulator24`s
@@ -19,8 +22,8 @@
 //!
 //! Every pair is asserted **bit-identical** before timing — the optimised
 //! kernels are reorderings of memory traffic, never of arithmetic — and the
-//! binary then asserts the speedup floors the optimisation pass committed to
-//! (circulant ≥ 3x, the other two ≥ 1.2x). Unlike the tick-modeled sweeps,
+//! binary then asserts the committed speedup floors (circulant ≥ 3x, dense
+//! f32 ≥ 2x, PD f32 and i16 ≥ 1.2x). Unlike the tick-modeled sweeps,
 //! these numbers are machine-dependent; the floors are chosen to hold on any
 //! release build. Results land in `BENCH_wall.json` (override with
 //! `--out PATH`).
@@ -88,6 +91,7 @@ fn main() {
     let points = vec![
         circulant_point(n, batch, reps),
         pd_f32_point(n, batch, reps),
+        dense_f32_point(n, batch, reps),
         q16_point(n, batch, reps),
     ];
 
@@ -156,7 +160,7 @@ fn circulant_point(n: usize, batch: usize, reps: usize) -> WallPoint {
     }
 }
 
-/// Cache-blocked batched PD kernel vs a per-row reference-matvec loop.
+/// Lane-tiled batched PD kernel vs a per-row reference-matvec loop.
 fn pd_f32_point(n: usize, batch: usize, reps: usize) -> WallPoint {
     let p = 8;
     let w = BlockPermDiagMatrix::random(n, n, p, &mut seeded_rng(21));
@@ -196,6 +200,49 @@ fn pd_f32_point(n: usize, batch: usize, reps: usize) -> WallPoint {
         reference_us,
         speedup: reference_us / optimized_us,
         floor: 1.2,
+    }
+}
+
+/// Lane × row tiled batched dense kernel vs a per-row `Matrix::matvec` loop.
+fn dense_f32_point(n: usize, batch: usize, reps: usize) -> WallPoint {
+    let w = batch_matrix(n, n, 41);
+    let xs_mat = batch_matrix(n, batch, 42);
+    let xs = BatchView::from_matrix(&xs_mat);
+
+    let mut scratch = Scratch::new();
+    let mut out = vec![0.0f32; batch * n];
+    w.matmul_into(&xs, &mut out, &mut scratch)
+        .expect("dimensions match");
+    for (i, out_row) in out.chunks(n).enumerate() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(out_row),
+            bits(&w.matvec(xs.row(i))),
+            "dense f32 outputs must be bit-identical"
+        );
+    }
+
+    let optimized_us = median_us(reps, || {
+        w.matmul_into(black_box(&xs), &mut out, &mut scratch)
+            .expect("checked above");
+        black_box(&out);
+    });
+    let reference_us = median_us(reps, || {
+        for i in 0..batch {
+            black_box(w.matvec(black_box(xs.row(i))));
+        }
+    });
+
+    WallPoint {
+        workload: "dense_f32",
+        rows: n,
+        cols: n,
+        batch,
+        reps,
+        optimized_us,
+        reference_us,
+        speedup: reference_us / optimized_us,
+        floor: 2.0,
     }
 }
 

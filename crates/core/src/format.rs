@@ -328,7 +328,9 @@ pub trait CompressedLinear: Send + Sync {
     /// This is the allocation-free hot path `permdnn_runtime::ParallelExecutor`
     /// drives per worker shard. The default applies
     /// [`matvec_scratch`](Self::matvec_scratch) row by row; formats with a
-    /// cache-blocked batched kernel (dense, permuted diagonal, CSC) override it.
+    /// batched kernel override it: dense and permuted diagonal run several
+    /// batch rows per pass over the weights (lane tiling), CSC a
+    /// cache-blocked column walk.
     ///
     /// # Errors
     ///
@@ -436,73 +438,25 @@ impl CompressedLinear for BlockPermDiagMatrix {
         true
     }
 
-    /// Delegates to the column-wise, input-zero-skipping kernel the PERMDNN
-    /// hardware uses (Fig. 5): zero activations are skipped entirely. Streams
-    /// the precomputed [`column_kernel`](BlockPermDiagMatrix::column_kernel)
-    /// index arrays instead of re-deriving the permutation arithmetic per
-    /// entry; identical entry order, so bit-identical to
-    /// [`matvec_reference`](BlockPermDiagMatrix::matvec_reference).
+    /// The column-wise, input-zero-skipping kernel of the hardware (Fig. 5),
+    /// as the one-lane case of the batched kernel: same entry order, so
+    /// bit-identical to [`matvec_reference`](BlockPermDiagMatrix::matvec_reference).
     fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), FormatError> {
         check_dim("matvec_into", self.cols(), x.len())?;
         check_dim("matvec_into", self.rows(), y.len())?;
-        y.fill(0.0);
-        let (col_ptr, rows, vals) = self.column_kernel();
-        let values = self.values();
-        for (j, &xj) in x.iter().enumerate() {
-            if xj == 0.0 {
-                continue;
-            }
-            let (s, e) = (col_ptr[j] as usize, col_ptr[j + 1] as usize);
-            for (&i, &v) in rows[s..e].iter().zip(&vals[s..e]) {
-                y[i as usize] += values[v as usize] * xj;
-            }
-        }
+        self.lanes::<1>(x, y);
         Ok(())
     }
 
-    /// Cache-blocked batched kernel: processes the batch in chunks of rows and,
-    /// within a chunk, walks columns once, scattering each column's kernel
-    /// entries across all chunk rows while the index arrays are hot in cache.
-    /// Per output row the columns still arrive in ascending order with the
-    /// same entry order per column, so every row is bit-identical to
-    /// `matvec_into` on that row.
+    /// Lane-tiled batched kernel (see `lane_tiled_matmul`): every output
+    /// row is bit-identical to `matvec_into` on that row.
     fn matmul_into(
         &self,
         xs: &BatchView<'_>,
         out: &mut [f32],
         scratch: &mut Scratch,
     ) -> Result<(), FormatError> {
-        let _ = scratch;
-        check_dim("matmul_into", self.cols(), xs.dim())?;
-        let m = self.rows();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
-        if m == 0 || xs.batch() == 0 {
-            return Ok(());
-        }
-        let (col_ptr, rows, vals) = self.column_kernel();
-        let values = self.values();
-        const CHUNK: usize = 16;
-        for (chunk_idx, out_chunk) in out.chunks_mut(CHUNK * m).enumerate() {
-            let b0 = chunk_idx * CHUNK;
-            let chunk_rows = out_chunk.len() / m;
-            out_chunk.fill(0.0);
-            for j in 0..self.cols() {
-                let (s, e) = (col_ptr[j] as usize, col_ptr[j + 1] as usize);
-                if s == e {
-                    continue;
-                }
-                for (bi, y) in out_chunk.chunks_mut(m).enumerate().take(chunk_rows) {
-                    let xj = xs.row(b0 + bi)[j];
-                    if xj == 0.0 {
-                        continue;
-                    }
-                    for (&i, &v) in rows[s..e].iter().zip(&vals[s..e]) {
-                        y[i as usize] += values[v as usize] * xj;
-                    }
-                }
-            }
-        }
-        Ok(())
+        lane_tiled_matmul(self, xs, out, scratch)
     }
 
     fn to_dense(&self) -> Matrix {
@@ -562,54 +516,24 @@ impl CompressedLinear for Matrix {
         (self.rows() * self.cols()) as u64
     }
 
+    /// One lane of the tiled kernel: eight weight rows per pass, each output
+    /// the same left-to-right dot product as [`Matrix::matvec`].
     fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), FormatError> {
         check_dim("matvec_into", self.cols(), x.len())?;
         check_dim("matvec_into", self.rows(), y.len())?;
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (w, xv) in self.row(r).iter().zip(x.iter()) {
-                acc += w * xv;
-            }
-            *out = acc;
-        }
+        self.lanes::<1>(x, y);
         Ok(())
     }
 
-    /// Cache-blocked batched kernel: for each chunk of batch rows, the outer
-    /// loop walks weight rows so one `W` row is streamed once against every
-    /// input vector in the chunk while it is hot in cache. Each output is
-    /// still the same left-to-right dot product as `matvec_into`, so results
-    /// are bit-identical to the per-row default.
+    /// Lane-tiled batched kernel (see `lane_tiled_matmul`): every output
+    /// row is bit-identical to [`Matrix::matvec`] on that row.
     fn matmul_into(
         &self,
         xs: &BatchView<'_>,
         out: &mut [f32],
         scratch: &mut Scratch,
     ) -> Result<(), FormatError> {
-        let _ = scratch;
-        check_dim("matmul_into", self.cols(), xs.dim())?;
-        let m = self.rows();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
-        if m == 0 || xs.batch() == 0 {
-            return Ok(());
-        }
-        const CHUNK: usize = 16;
-        for (chunk_idx, out_chunk) in out.chunks_mut(CHUNK * m).enumerate() {
-            let b0 = chunk_idx * CHUNK;
-            let chunk_rows = out_chunk.len() / m;
-            for r in 0..m {
-                let w_row = self.row(r);
-                for bi in 0..chunk_rows {
-                    let x = xs.row(b0 + bi);
-                    let mut acc = 0.0f32;
-                    for (w, xv) in w_row.iter().zip(x.iter()) {
-                        acc += w * xv;
-                    }
-                    out_chunk[bi * m + r] = acc;
-                }
-            }
-        }
-        Ok(())
+        lane_tiled_matmul(self, xs, out, scratch)
     }
 
     fn to_dense(&self) -> Matrix {
@@ -628,6 +552,139 @@ impl CompressedLinear for Matrix {
         crate::snapshot::write_dense(self, out);
         Some(crate::snapshot::FORMAT_DENSE)
     }
+}
+
+/// Most batch rows one lane-tiled pass computes at once.
+const MAX_LANES: usize = 8;
+
+/// A kernel that computes `L` independent batch rows ("lanes") per pass over
+/// the weights. Inputs arrive transposed, `xt[k·L + l]` = input `k` of lane
+/// `l`, and outputs leave the same way, `yt[i·L + l]`. Every lane keeps the
+/// single-row kernel's sequential accumulation order, so lane tiling never
+/// changes a bit — it only lets one weight read serve `L` outputs.
+trait LaneKernel: CompressedLinear {
+    /// Overwrites all of `yt` (`out_dim × L`) with the products of the `L`
+    /// lanes of `xt` (`in_dim × L`).
+    fn lanes<const L: usize>(&self, xt: &[f32], yt: &mut [f32]);
+}
+
+impl LaneKernel for BlockPermDiagMatrix {
+    /// Column-wise scatter over the column-ordered weights: each output
+    /// accumulates over ascending columns from `0.0`. A zero input is skipped
+    /// per lane by the select `y = if x == 0 { y } else { y + w·x }`, never
+    /// multiplied in, so a non-finite weight facing a zero input leaves the
+    /// output as the reference leaves it. The select is written as a bit mask
+    /// fixed per column, which the compiler keeps branch-free and vectorised.
+    fn lanes<const L: usize>(&self, xt: &[f32], yt: &mut [f32]) {
+        yt.fill(0.0);
+        let (col_ptr, rows, weights) = self.column_kernel();
+        let yt = yt.as_chunks_mut::<L>().0;
+        for (j, xv) in xt.as_chunks::<L>().0.iter().enumerate() {
+            if xv.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let live: [u32; L] = std::array::from_fn(|l| if xv[l] == 0.0 { 0 } else { !0 });
+            let (s, e) = (col_ptr[j] as usize, col_ptr[j + 1] as usize);
+            for (&i, &w) in rows[s..e].iter().zip(&weights[s..e]) {
+                let acc = &mut yt[i as usize];
+                for l in 0..L {
+                    let sum = (acc[l] + w * xv[l]).to_bits();
+                    acc[l] = f32::from_bits((sum & live[l]) | (acc[l].to_bits() & !live[l]));
+                }
+            }
+        }
+    }
+}
+
+impl LaneKernel for Matrix {
+    /// Register tiles of `R` weight rows × `L` lanes, R=8 for a single lane
+    /// and R=4 otherwise. Each output is the left-to-right dot product over
+    /// ascending `k` from `0.0`, exactly [`Matrix::matvec`]'s.
+    fn lanes<const L: usize>(&self, xt: &[f32], yt: &mut [f32]) {
+        if L == 1 {
+            dense_tiles::<L, 8>(self, xt, yt);
+        } else {
+            dense_tiles::<L, 4>(self, xt, yt);
+        }
+    }
+}
+
+/// [`Matrix`]'s lane kernel with register tiles of `R` weight rows.
+fn dense_tiles<const L: usize, const R: usize>(w: &Matrix, xt: &[f32], yt: &mut [f32]) {
+    let n = w.cols();
+    let xt = &xt.as_chunks::<L>().0[..n];
+    for (t, y_tile) in yt.as_chunks_mut::<L>().0.chunks_mut(R).enumerate() {
+        // A ragged last tile repeats its last row; the extra sums are dropped.
+        let last = y_tile.len() - 1;
+        let w_rows: [&[f32]; R] = std::array::from_fn(|r| &w.row(t * R + r.min(last))[..n]);
+        let mut acc = [[0.0f32; L]; R];
+        for (k, xv) in xt.iter().enumerate() {
+            for (acc, w_row) in acc.iter_mut().zip(&w_rows) {
+                let wk = w_row[k];
+                for l in 0..L {
+                    acc[l] += wk * xv[l];
+                }
+            }
+        }
+        y_tile.copy_from_slice(&acc[..y_tile.len()]);
+    }
+}
+
+/// Per-worker buffers of [`lane_tiled_matmul`]: one chunk's transposed
+/// inputs and outputs.
+#[derive(Default)]
+struct LaneBuffers {
+    xt: Vec<f32>,
+    yt: Vec<f32>,
+}
+
+/// The batched driver shared by the lane-tiled kernels. The batch runs in
+/// chunks of at most [`MAX_LANES`] rows, and each chunk takes the smallest
+/// lane count `L ∈ {1, 2, 4, 8}` that holds its rows, padding with zero
+/// lanes whose outputs are dropped. A one-row chunk (the latency case) runs
+/// straight on the caller's row; a wider one is copied once, transposed, into
+/// the scratch.
+fn lane_tiled_matmul<K: LaneKernel>(
+    kernel: &K,
+    xs: &BatchView<'_>,
+    out: &mut [f32],
+    scratch: &mut Scratch,
+) -> Result<(), FormatError> {
+    let n = xs.dim();
+    check_dim("matmul_into", kernel.in_dim(), n)?;
+    let m = kernel.out_dim();
+    check_dim("matmul_into", xs.batch() * m, out.len())?;
+    if m == 0 || xs.batch() == 0 {
+        return Ok(());
+    }
+    let LaneBuffers { xt, yt } = scratch.slot::<LaneBuffers>();
+    for (c, out_chunk) in out.chunks_mut(MAX_LANES * m).enumerate() {
+        let rows = out_chunk.len() / m;
+        let lanes = rows.next_power_of_two();
+        if lanes == 1 {
+            kernel.lanes::<1>(xs.row(c * MAX_LANES), out_chunk);
+            continue;
+        }
+        xt.clear();
+        xt.resize(n * lanes, 0.0);
+        for l in 0..rows {
+            for (k, &x) in xs.row(c * MAX_LANES + l).iter().enumerate() {
+                xt[k * lanes + l] = x;
+            }
+        }
+        yt.resize(m * lanes, 0.0);
+        match lanes {
+            2 => kernel.lanes::<2>(xt, yt),
+            4 => kernel.lanes::<4>(xt, yt),
+            _ => kernel.lanes::<MAX_LANES>(xt, yt),
+        }
+        for (l, y) in out_chunk.chunks_exact_mut(m).enumerate() {
+            for (y, yt) in y.iter_mut().zip(yt.chunks_exact(lanes)) {
+                *y = yt[l];
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -693,8 +750,8 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_per_row_matvec_across_chunk_boundaries() {
-        // Batch 37 exercises full 16-row chunks plus a ragged 5-row tail for
-        // both cache-blocked overrides (dense and permuted diagonal).
+        // Batch 37 exercises full 8-row chunks plus a ragged 5-row tail for
+        // both lane-tiled overrides (dense and permuted diagonal).
         let dense = xavier_uniform(&mut seeded_rng(20), 11, 9);
         let pd = BlockPermDiagMatrix::random(6, 9, 3, &mut seeded_rng(21));
         let xs_mat = xavier_uniform(&mut seeded_rng(22), 37, 9);

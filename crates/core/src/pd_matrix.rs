@@ -56,17 +56,47 @@ pub struct BlockPermDiagMatrix {
     /// Stored non-zero values `q`, indexed `l * p + c` where `c` is the row within block `l`.
     values: Vec<f32>,
     /// Column-kernel cache: `kernel_col_ptr[j]..kernel_col_ptr[j+1]` indexes
-    /// the entries of column `j` in `kernel_rows` / `kernel_vals`. Structure
-    /// only — value *indices*, never value copies, so training updates through
-    /// [`values_mut`](Self::values_mut) stay visible. Built once in
-    /// [`new`](Self::new) (perms are immutable after construction), it
-    /// replaces the per-call modulo arithmetic of
-    /// [`column_nonzeros`](Self::column_nonzeros) on the matvec hot path.
+    /// the entries of column `j` in `kernel_rows` / `kernel_w`, in the order
+    /// [`column_nonzeros`](Self::column_nonzeros) walks them. Fixed by the
+    /// perms, which are immutable after construction.
     kernel_col_ptr: Vec<u32>,
     /// Output row of each cached column entry.
     kernel_rows: Vec<u32>,
-    /// Index into `values` of each cached column entry.
-    kernel_vals: Vec<u32>,
+    /// Weight of each cached column entry: a column-ordered copy of `values`,
+    /// so the matvec hot path streams weights with no gather (one weight-SRAM
+    /// row per column, as in Fig. 8). Every mutation of `values` goes through
+    /// [`values_mut`](Self::values_mut) or
+    /// [`map_values_in_place`](Self::map_values_in_place), which rewrite it.
+    kernel_w: Vec<f32>,
+}
+
+/// Mutable access to a [`BlockPermDiagMatrix`]'s stored values, returned by
+/// [`BlockPermDiagMatrix::values_mut`]. Dereferences to `[f32]`; when it
+/// drops, the column-ordered kernel weights are rewritten from the values in
+/// one O(nnz) pass, so the kernels never see stale weights.
+#[derive(Debug)]
+pub struct ValuesMut<'a> {
+    matrix: &'a mut BlockPermDiagMatrix,
+}
+
+impl std::ops::Deref for ValuesMut<'_> {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.matrix.values
+    }
+}
+
+impl std::ops::DerefMut for ValuesMut<'_> {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.matrix.values
+    }
+}
+
+impl Drop for ValuesMut<'_> {
+    fn drop(&mut self) {
+        self.matrix.write_column_kernel();
+    }
 }
 
 impl BlockPermDiagMatrix {
@@ -106,29 +136,23 @@ impl BlockPermDiagMatrix {
                 expected: nblocks * p,
             });
         }
-        // Build the column-kernel cache: the same (row, value-index) walk
-        // `column_nonzeros` produces, flattened into CSC-style arrays so the
-        // matvec kernel streams plain indices instead of recomputing
-        // `(d + p - k_l) % p` per entry per call.
+        // Column-kernel structure: column `j` holds one entry per block row,
+        // except that the last block row's entry is absent when its row falls
+        // past `rows` (the ragged edge).
         let mut kernel_col_ptr = Vec::with_capacity(cols + 1);
-        let mut kernel_rows = Vec::with_capacity(block_rows * cols);
-        let mut kernel_vals = Vec::with_capacity(block_rows * cols);
         kernel_col_ptr.push(0u32);
+        let mut nnz = 0;
         for j in 0..cols {
-            let d = j % p;
-            let bc = j / p;
-            for br in 0..block_rows {
-                let l = br * block_cols + bc;
-                let c = (d + p - perms[l]) % p;
-                let i = br * p + c;
-                if i < rows {
-                    kernel_rows.push(i as u32);
-                    kernel_vals.push((l * p + c) as u32);
+            nnz += block_rows;
+            if let Some(br) = block_rows.checked_sub(1) {
+                let c = (j % p + p - perms[br * block_cols + j / p]) % p;
+                if br * p + c >= rows {
+                    nnz -= 1;
                 }
             }
-            kernel_col_ptr.push(kernel_rows.len() as u32);
+            kernel_col_ptr.push(nnz as u32);
         }
-        Ok(BlockPermDiagMatrix {
+        let mut matrix = BlockPermDiagMatrix {
             rows,
             cols,
             p,
@@ -137,9 +161,34 @@ impl BlockPermDiagMatrix {
             perms,
             values,
             kernel_col_ptr,
-            kernel_rows,
-            kernel_vals,
-        })
+            kernel_rows: vec![0; nnz],
+            kernel_w: vec![0.0; nnz],
+        };
+        matrix.write_column_kernel();
+        Ok(matrix)
+    }
+
+    /// Writes every structural non-zero's row and weight into its column
+    /// kernel slot, `kernel_col_ptr[j] + br` (only the last block row can be
+    /// missing from a column). Walking blocks rather than columns reads each
+    /// block's `p` values together; a column walk reads `values` with a
+    /// stride of one block row per entry, which made loading slower.
+    fn write_column_kernel(&mut self) {
+        let p = self.p;
+        for bc in 0..self.block_cols {
+            for br in 0..self.block_rows {
+                let l = br * self.block_cols + bc;
+                for c in 0..p {
+                    let i = br * p + c;
+                    let j = bc * p + (c + self.perms[l]) % p;
+                    if i < self.rows && j < self.cols {
+                        let slot = self.kernel_col_ptr[j] as usize + br;
+                        self.kernel_rows[slot] = i as u32;
+                        self.kernel_w[slot] = self.values[l * p + c];
+                    }
+                }
+            }
+        }
     }
 
     /// Creates an all-zero matrix with permutation parameters chosen by `indexing`.
@@ -250,9 +299,10 @@ impl BlockPermDiagMatrix {
         &self.values
     }
 
-    /// Mutable access to the stored non-zero values.
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
+    /// Mutable access to the stored non-zero values. The returned guard
+    /// rewrites the column-ordered kernel weights when it drops.
+    pub fn values_mut(&mut self) -> ValuesMut<'_> {
+        ValuesMut { matrix: self }
     }
 
     /// Number of stored weights (`num_blocks * p`, i.e. `⌈m/p⌉·⌈n/p⌉·p`).
@@ -307,16 +357,6 @@ impl BlockPermDiagMatrix {
     /// Panics if any coordinate is out of range.
     pub fn value_at(&self, block_row: usize, block_col: usize, c: usize) -> f32 {
         self.values[self.value_index(block_row, block_col, c)]
-    }
-
-    /// Mutable reference to the stored value slot (see [`value_at`](Self::value_at)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coordinate is out of range.
-    pub fn value_at_mut(&mut self, block_row: usize, block_col: usize, c: usize) -> &mut f32 {
-        let idx = self.value_index(block_row, block_col, c);
-        &mut self.values[idx]
     }
 
     /// Flat index into [`values`](Self::values) for `(block_row, block_col, c)`.
@@ -388,6 +428,7 @@ impl BlockPermDiagMatrix {
                 }
             }
         }
+        out.write_column_kernel();
         Ok(out)
     }
 
@@ -452,6 +493,7 @@ impl BlockPermDiagMatrix {
         for v in &mut self.values {
             *v = f(*v);
         }
+        self.write_column_kernel();
     }
 
     /// For column `j`, iterates over the `(row, stored-value-index)` pairs of the
@@ -480,13 +522,13 @@ impl BlockPermDiagMatrix {
         })
     }
 
-    /// The cached column-kernel arrays `(col_ptr, rows, value_indices)`:
+    /// The cached column-kernel arrays `(col_ptr, rows, weights)`:
     /// `col_ptr[j]..col_ptr[j+1]` indexes column `j`'s entries, in exactly the
-    /// order [`column_nonzeros`](Self::column_nonzeros) yields them. The fast
-    /// matvec kernel and the batched cache-blocked kernel stream these instead
-    /// of recomputing the permutation arithmetic per call.
-    pub fn column_kernel(&self) -> (&[u32], &[u32], &[u32]) {
-        (&self.kernel_col_ptr, &self.kernel_rows, &self.kernel_vals)
+    /// order [`column_nonzeros`](Self::column_nonzeros) yields them, with each
+    /// entry's output row and weight. The matvec and batched kernels stream
+    /// these instead of recomputing the permutation arithmetic per call.
+    pub fn column_kernel(&self) -> (&[u32], &[u32], &[f32]) {
+        (&self.kernel_col_ptr, &self.kernel_rows, &self.kernel_w)
     }
 
     /// The pre-cache column-wise matvec: recomputes `(d + p - k_l) % p` for

@@ -1,18 +1,18 @@
 //! Bit-identity suite for the wall-clock kernel pass.
 //!
 //! The optimisation pass (precomputed FFT plans + cached weight spectra,
-//! scratch arenas through the matvec/matmul hot path, cache-blocked batched
-//! kernels, the unrolled i16 column-sparse inner loop) is a reordering of
-//! memory traffic only — every float and every integer operation happens in
-//! the same order as before. This suite pins that down:
+//! scratch arenas through the matvec/matmul hot path, lane-tiled and
+//! cache-blocked batched kernels, the unrolled i16 column-sparse inner loop)
+//! is a reordering of memory traffic only — every float and every integer
+//! operation happens in the same order as before. This suite pins that down:
 //!
 //! 1. `FftPlan` transforms are bitwise identical to the freestanding
 //!    `fft_in_place` / `ifft_in_place` / `fft_real` they replace.
 //! 2. The cached-spectra circulant matvec equals the retained per-call FFT
 //!    path exactly, including ragged (non-multiple-of-`k`) shapes, across
 //!    repeated calls on one reused scratch.
-//! 3. The streamed PD column kernel and the cache-blocked batched kernels
-//!    equal the reference traversal exactly.
+//! 3. The streamed PD column kernel and the batched kernels equal the
+//!    reference traversal exactly.
 //! 4. The unrolled flat-accumulator i16 kernel equals the boxed-accumulator
 //!    reference exactly — outputs *and* datapath counters.
 //! 5. The arena-backed executor stays bit-identical to sequential execution
@@ -21,6 +21,12 @@
 //! 6. The serving loops (`serve`, `ModelRegistry::serve_traffic`), which now
 //!    reuse one output matrix across batches and models, still produce the
 //!    exact per-request outputs of the sequential operator.
+//! 7. The lane-tiled batched kernels (PD over column-ordered weights, dense
+//!    over register tiles) equal their per-row oracles at every lane width
+//!    and ragged chunk, on awkward shapes, on PD inputs full of zeros,
+//!    `-0.0`, `NaN` and `inf`, on a reused scratch and on every worker count.
+//! 8. The column-ordered PD weights follow every mutation of the stored
+//!    values, including a training step.
 
 use std::sync::Arc;
 
@@ -30,14 +36,17 @@ use permdnn::core::format::{BatchView, CompressedLinear};
 use permdnn::core::qlinear::{QKernelStats, QScheme, QScratch, QuantizedLinear};
 use permdnn::core::snapshot::{load_tensor, save_tensor, SnapshotCodec};
 use permdnn::core::{BlockPermDiagMatrix, Scratch};
-use permdnn::nn::layers::WeightFormat;
+use permdnn::nn::layers::{PdDense, WeightFormat};
+use permdnn::nn::Layer;
 use permdnn::runtime::{
     seeded_request_stream, serve, AdmissionPolicy, BatchConfig, BatchModel, ModelLoader,
     ModelRegistry, ParallelExecutor, ServeConfig, ServiceModel, SingleLayerModel, SloTarget,
     TrafficConfig, UniformProcess,
 };
 use permdnn::tensor::init::{seeded_rng, xavier_uniform};
+use permdnn::tensor::Matrix;
 use proptest::prelude::*;
+use rand::Rng;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -443,4 +452,209 @@ fn executor_integer_stats_are_exact_on_tiny_batches() {
         QKernelStats::default(),
         "the kernel did real work"
     );
+}
+
+/// Whether `a` and `b` carry the same bits, except that any NaN matches any
+/// NaN: IEEE 754 leaves the payload of a NaN result to the hardware.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// A `batch × dim` input about 60% exact zeros. With `non_finite` a few of
+/// the rest are `-0.0`, `NaN` and `±inf`.
+fn sparse_inputs(batch: usize, dim: usize, non_finite: bool, seed: u64) -> Matrix {
+    let mut rng = seeded_rng(seed);
+    Matrix::from_fn(batch, dim, |_, _| match rng.gen_range(0..100) {
+        0..=59 => 0.0,
+        60..=63 if non_finite => -0.0,
+        64 if non_finite => f32::NAN,
+        65 if non_finite => f32::INFINITY,
+        66 if non_finite => f32::NEG_INFINITY,
+        _ => rng.gen_range(-1.0f32..1.0),
+    })
+}
+
+/// Checks `op`'s batched kernel against `oracle` (one input row in, one
+/// output row out) on the first `b` rows of `xs_mat` for several `b`, all on
+/// one reused `Scratch`, then through `ParallelExecutor` on every worker
+/// count.
+fn assert_batched_matches_oracle(
+    op: &Arc<dyn CompressedLinear>,
+    xs_mat: &Matrix,
+    oracle: impl Fn(&[f32]) -> Vec<f32>,
+) {
+    let (batch, dim) = xs_mat.shape();
+    let m = op.out_dim();
+    let want: Vec<Vec<f32>> = (0..batch).map(|i| oracle(xs_mat.row(i))).collect();
+    let mut scratch = Scratch::new();
+    for b in [batch, 1 + batch / 2, batch] {
+        let xs = BatchView::new(&xs_mat.as_slice()[..b * dim], b, dim).unwrap();
+        let mut out = vec![f32::NAN; b * m];
+        op.matmul_into(&xs, &mut out, &mut scratch).unwrap();
+        for (i, row) in out.chunks(m).enumerate() {
+            assert!(
+                same_bits(row, &want[i]),
+                "{} batch {b} row {i}: {row:?} != {:?}",
+                op.label(),
+                want[i]
+            );
+        }
+    }
+    let xs = BatchView::from_matrix(xs_mat);
+    for workers in WORKER_COUNTS {
+        let mut out = Matrix::zeros(0, 0);
+        ParallelExecutor::new(workers)
+            .matmul_into(op, &xs, &mut out)
+            .unwrap();
+        for (i, want) in want.iter().enumerate() {
+            assert!(
+                same_bits(out.row(i), want),
+                "{} workers {workers} row {i}",
+                op.label()
+            );
+        }
+    }
+}
+
+fn pd_reference(w: &BlockPermDiagMatrix) -> impl Fn(&[f32]) -> Vec<f32> + '_ {
+    |x| {
+        let mut y = vec![0.0f32; w.rows()];
+        w.matvec_reference(x, &mut y);
+        y
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // 7a. Lane-tiled PD kernel vs the reference: batches 1..=17 cover every
+    // lane width and a ragged second chunk; rows % 8 != 0 and odd cols give
+    // ragged blocks; the inputs carry zeros, -0.0, NaN and inf.
+    #[test]
+    fn prop_lane_tiled_pd_matches_reference_on_edge_inputs(
+        (rows8, rows_rem, half_cols, p, batch, seed) in
+            (0usize..=4, 1usize..=7, 0usize..=12, 2usize..=6, 1usize..=17, 0u64..300)
+    ) {
+        let (rows, cols) = (8 * rows8 + rows_rem, 2 * half_cols + 1);
+        let w = BlockPermDiagMatrix::random(rows, cols, p, &mut seeded_rng(seed));
+        let xs_mat = sparse_inputs(batch, cols, true, seed ^ 0x1A);
+        let reference = pd_reference(&w);
+        let mut y = vec![0.0f32; rows];
+        for i in 0..batch {
+            w.matvec_into(xs_mat.row(i), &mut y).unwrap();
+            prop_assert!(same_bits(&y, &reference(xs_mat.row(i))), "matvec_into row {}", i);
+        }
+        let op: Arc<dyn CompressedLinear> = Arc::new(w.clone());
+        assert_batched_matches_oracle(&op, &xs_mat, reference);
+    }
+
+    // 7b. Lane × row tiled dense kernel vs `Matrix::matvec`, same shapes.
+    #[test]
+    fn prop_lane_tiled_dense_matches_matvec(
+        (rows8, rows_rem, half_cols, batch, seed) in
+            (0usize..=4, 1usize..=7, 0usize..=12, 1usize..=17, 0u64..300)
+    ) {
+        let (rows, cols) = (8 * rows8 + rows_rem, 2 * half_cols + 1);
+        let w = xavier_uniform(&mut seeded_rng(seed), rows, cols);
+        let xs_mat = sparse_inputs(batch, cols, false, seed ^ 0x2B);
+        for i in 0..batch {
+            let y = CompressedLinear::matvec(&w, xs_mat.row(i)).unwrap();
+            prop_assert!(same_bits(&y, &w.matvec(xs_mat.row(i))), "matvec_into row {}", i);
+        }
+        let op: Arc<dyn CompressedLinear> = Arc::new(w.clone());
+        assert_batched_matches_oracle(&op, &xs_mat, |x| w.matvec(x));
+    }
+}
+
+// 7c. An infinite weight facing a zero input in some lanes: the lanes whose
+// input is zero (or -0.0) skip it and stay finite, exactly as the reference
+// does; the others turn non-finite.
+#[test]
+fn pd_infinite_weight_is_skipped_on_zero_lanes() {
+    let mut w = BlockPermDiagMatrix::random(13, 11, 4, &mut seeded_rng(0x1F));
+    let (row, slot) = w.column_nonzeros(6).next().expect("column 6 has entries");
+    w.values_mut()[slot] = f32::INFINITY;
+    let xs_mat = Matrix::from_fn(11, 11, |b, k| match (k, b % 3) {
+        (6, 0) => 0.0,
+        (6, 1) => -0.0,
+        _ => 0.5 + (b + k) as f32 / 16.0,
+    });
+    let op: Arc<dyn CompressedLinear> = Arc::new(w.clone());
+    assert_batched_matches_oracle(&op, &xs_mat, pd_reference(&w));
+    let out = op.matmul(&BatchView::from_matrix(&xs_mat)).unwrap();
+    for b in 0..11 {
+        assert_eq!(out[(b, row)].is_finite(), b % 3 != 2, "batch row {b}");
+    }
+}
+
+// 8a. The column-ordered weights follow every kind of write through
+// `values_mut()` and `map_values_in_place`.
+#[test]
+fn pd_kernels_follow_every_value_mutation() {
+    let mut w = BlockPermDiagMatrix::random(21, 30, 4, &mut seeded_rng(0x5E));
+    let xs_mat = xavier_uniform(&mut seeded_rng(0x5F), 9, 30);
+    let check = |w: &BlockPermDiagMatrix, what: &str| -> Vec<f32> {
+        let reference = pd_reference(w);
+        let mut y = vec![0.0f32; 21];
+        for i in 0..9 {
+            w.matvec_into(xs_mat.row(i), &mut y).unwrap();
+            assert!(
+                same_bits(&y, &reference(xs_mat.row(i))),
+                "{what}: matvec_into row {i}"
+            );
+        }
+        let mut out = vec![0.0f32; 9 * 21];
+        w.matmul_into(
+            &BatchView::from_matrix(&xs_mat),
+            &mut out,
+            &mut Scratch::new(),
+        )
+        .unwrap();
+        for (i, row) in out.chunks(21).enumerate() {
+            assert!(
+                same_bits(row, &reference(xs_mat.row(i))),
+                "{what}: matmul_into row {i}"
+            );
+        }
+        out
+    };
+    let fresh = check(&w, "fresh");
+    w.values_mut()[5] += 0.75;
+    assert_ne!(
+        check(&w, "indexed +="),
+        fresh,
+        "slot 5 is a structural non-zero"
+    );
+    let scaled: Vec<f32> = w.values().iter().map(|v| v * -1.5).collect();
+    w.values_mut().copy_from_slice(&scaled);
+    check(&w, "copy_from_slice");
+    for v in w.values_mut().iter_mut() {
+        *v = *v * 0.5 + 0.25;
+    }
+    check(&w, "iter_mut");
+    w.map_values_in_place(|v| (v * 8.0).round() / 8.0);
+    check(&w, "map_values_in_place");
+}
+
+// 8b. A trainable PD layer after one SGD step forwards with the new weights:
+// bit-identical to the dense expansion of those weights, applied the same way
+// (product, then bias).
+#[test]
+fn trained_pd_layer_forward_uses_updated_weights() {
+    let mut layer = PdDense::new(30, 21, 4, &mut seeded_rng(0x60));
+    let x = xavier_uniform(&mut seeded_rng(0x61), 1, 30).row(0).to_vec();
+    let before = layer.forward(&x);
+    layer.forward_train(&x);
+    layer.backward(&[1.0; 21]);
+    layer.apply_gradients(0.1);
+    let after = layer.forward(&x);
+    assert_ne!(after, before, "the step moved the weights");
+    let mut expected = layer.weights().to_dense().matvec(&x);
+    for (y, b) in expected.iter_mut().zip(layer.bias()) {
+        *y += b;
+    }
+    assert!(same_bits(&after, &expected), "{after:?} != {expected:?}");
 }
